@@ -667,9 +667,14 @@ impl SessionWorld for ChaosWorld<'_> {
         });
     }
 
+    /// Also evicts the session's delivery memo entry. Exact: a session
+    /// only deregisters on close (it never queries again) or when its
+    /// plan died (its next query follows a new adoption, whose plan
+    /// generation would miss the entry anyway).
     fn deregister_session_flow(&mut self, session: u64) {
         if let Some(broker) = self.broker.as_mut() {
             broker.deregister(session);
+            self.delivery_cache.get_mut().entries.remove(&session);
         }
     }
 
@@ -1218,6 +1223,32 @@ mod tests {
             (1, 1, 1),
             "epoch-only change takes the refresh path"
         );
+    }
+
+    #[test]
+    fn deregistering_evicts_the_delivery_memo_entry() {
+        let f = fixture();
+        let (mut w, h) = world(&f);
+        w.set_sharing(Some(SharingPolicy::WeightedMaxMin));
+        let plan = w
+            .composer()
+            .compose(&profiles(), h.server, h.client, &SelectOptions::default())
+            .unwrap()
+            .plan
+            .unwrap();
+        w.register_session_flow(0, &plan, 0, 2);
+        w.register_session_flow(1, &plan, 0, 2);
+        w.session_delivery_ppm(0, 0, &plan, 0);
+        w.session_delivery_ppm(1, 0, &plan, 0);
+        assert_eq!(w.delivery_cache.lock().entries.len(), 2);
+        let stats = w.delivery_cache_stats();
+        // Closing session 1 drops its memo entry and leaves session 0's
+        // in place; the counters are untouched.
+        w.deregister_session_flow(1);
+        let cache = w.delivery_cache.lock();
+        assert!(!cache.entries.contains_key(&1), "closed session evicted");
+        assert!(cache.entries.contains_key(&0), "survivor kept");
+        assert_eq!(cache.stats, stats);
     }
 
     #[test]

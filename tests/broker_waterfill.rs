@@ -15,11 +15,16 @@
 //! * **registration-order determinism** — the weighted max-min grants
 //!   depend only on the flow *set*, never the order sessions arrived,
 //! * **departure monotonicity** — deregistering a session never shrinks
-//!   any survivor's grant (the preemption-free floors).
+//!   any survivor's grant (the preemption-free floors),
+//! * **oracle equality under churn** — after every operation of a random
+//!   churn sequence, under both sharing policies, the dense library
+//!   broker publishes exactly the grants, epoch and reallocation count of
+//!   the original `BTreeMap` kernel, kept here as `reference`.
 
 use proptest::prelude::*;
 use qosc_broker::{BandwidthBroker, FlowSpec, SharingPolicy};
 use qosc_netsim::{LinkId, Node, Topology};
+use std::collections::BTreeMap;
 
 /// A chain topology with `caps.len()` links — the only way to mint
 /// `LinkId`s is through a real topology, which also keeps the tests
@@ -101,7 +106,7 @@ fn broker_with(caps: &[u64], links: &[LinkId], specs: &[FlowSpec]) -> BandwidthB
 /// Per-link grant sums, keyed by link position in the chain.
 fn link_usage(caps: &[u64], links: &[LinkId], broker: &BandwidthBroker) -> Vec<u64> {
     let mut used = vec![0u64; caps.len()];
-    for (&session, &grant) in broker.grants() {
+    for (session, grant) in broker.grants() {
         let spec = broker.flow(session).unwrap();
         for (i, &link) in links.iter().enumerate() {
             if spec.hops.contains(&(link, true)) {
@@ -188,7 +193,10 @@ proptest! {
             shuffled.reverse();
         }
         let reordered = broker_with(&caps, &links, &shuffled);
-        prop_assert_eq!(ordered.grants(), reordered.grants());
+        prop_assert_eq!(
+            ordered.grants().collect::<Vec<_>>(),
+            reordered.grants().collect::<Vec<_>>()
+        );
     }
 
     /// (d) Departures are preemption-free: a session leaving never
@@ -200,16 +208,454 @@ proptest! {
         let links = chain_links(&caps);
         let specs = specs(&links, &flows, false);
         let mut broker = broker_with(&caps, &links, &specs);
-        let before = broker.grants().clone();
+        let before: BTreeMap<u64, u64> = broker.grants().collect();
         let victim = (victim % specs.len()) as u64;
         prop_assert!(broker.deregister(victim));
-        for (&session, &grant) in broker.grants() {
+        for (session, grant) in broker.grants() {
             prop_assert!(
                 grant >= before[&session],
                 "session {session} shrank from {} to {grant} on a departure",
                 before[&session]
             );
         }
+    }
+}
+
+/// The broker's original `BTreeMap` kernel, kept verbatim as the test
+/// oracle for the dense library implementation: capacities, flows and
+/// grants in maps keyed by link and session, and the same epoch rule
+/// (bump whenever the recomputed grants map differs from the published
+/// one).
+mod reference {
+    use qosc_broker::{DirectedLink, FlowSpec, SharingPolicy};
+    use qosc_netsim::LinkId;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn weight_u64(flow: &FlowSpec) -> u64 {
+        u64::from(flow.weight.max(1))
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct ReferenceBroker {
+        policy: SharingPolicy,
+        capacity: BTreeMap<DirectedLink, u64>,
+        flows: BTreeMap<u64, (u64, FlowSpec)>,
+        next_seq: u64,
+        grants: BTreeMap<u64, u64>,
+        epoch: u64,
+        reallocations: u64,
+    }
+
+    impl ReferenceBroker {
+        pub fn new(policy: SharingPolicy) -> ReferenceBroker {
+            ReferenceBroker {
+                policy,
+                capacity: BTreeMap::new(),
+                flows: BTreeMap::new(),
+                next_seq: 0,
+                grants: BTreeMap::new(),
+                epoch: 0,
+                reallocations: 0,
+            }
+        }
+
+        pub fn set_capacity(&mut self, link: LinkId, forward: bool, capacity_bps: u64) {
+            self.capacity.insert((link, forward), capacity_bps);
+        }
+
+        pub fn register(&mut self, flow: FlowSpec) {
+            let seq = match self.flows.get(&flow.session) {
+                Some((seq, _)) => *seq,
+                None => {
+                    let s = self.next_seq;
+                    self.next_seq += 1;
+                    s
+                }
+            };
+            self.flows.insert(flow.session, (seq, flow));
+            self.recompute(Floors::None);
+        }
+
+        pub fn deregister(&mut self, session: u64) -> bool {
+            if self.flows.remove(&session).is_none() {
+                return false;
+            }
+            self.recompute(Floors::PreviousGrants);
+            true
+        }
+
+        pub fn rebalance(&mut self) {
+            self.recompute(Floors::None);
+        }
+
+        pub fn flow(&self, session: u64) -> Option<&FlowSpec> {
+            self.flows.get(&session).map(|(_, f)| f)
+        }
+
+        pub fn epoch(&self) -> u64 {
+            self.epoch
+        }
+
+        pub fn reallocations(&self) -> u64 {
+            self.reallocations
+        }
+
+        pub fn grants(&self) -> &BTreeMap<u64, u64> {
+            &self.grants
+        }
+
+        fn recompute(&mut self, floors: Floors) {
+            let next = match self.policy {
+                SharingPolicy::Fcfs => self.compute_fcfs(),
+                SharingPolicy::WeightedMaxMin => {
+                    let flows: Vec<&FlowSpec> = self.flows.values().map(|(_, f)| f).collect();
+                    let floor_of = |f: &FlowSpec| match floors {
+                        Floors::None => f.min_bps.min(f.max_bps),
+                        Floors::PreviousGrants => self
+                            .grants
+                            .get(&f.session)
+                            .copied()
+                            .unwrap_or(0)
+                            .max(f.min_bps)
+                            .min(f.max_bps),
+                    };
+                    waterfill(&flows, &self.capacity, floor_of)
+                }
+            };
+            if next != self.grants {
+                self.grants = next;
+                self.epoch += 1;
+                self.reallocations += 1;
+            }
+        }
+
+        fn compute_fcfs(&self) -> BTreeMap<u64, u64> {
+            let mut order: Vec<(&u64, &(u64, FlowSpec))> = self.flows.iter().collect();
+            order.sort_by_key(|(_, (seq, _))| *seq);
+            let mut residual = self.capacity.clone();
+            let mut grants = BTreeMap::new();
+            for (session, (_, flow)) in order {
+                // Multiplicity-aware bottleneck: crossing a link c times caps
+                // the rate at residual / c there.
+                let mut crossings: BTreeMap<DirectedLink, u64> = BTreeMap::new();
+                for hop in &flow.hops {
+                    *crossings.entry(*hop).or_insert(0) += 1;
+                }
+                let mut avail = flow.max_bps;
+                for (hop, count) in &crossings {
+                    if let Some(r) = residual.get(hop) {
+                        avail = avail.min(r / count);
+                    }
+                }
+                grants.insert(*session, avail);
+                for hop in &flow.hops {
+                    if let Some(r) = residual.get_mut(hop) {
+                        *r = r.saturating_sub(avail);
+                    }
+                }
+            }
+            grants
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Floors {
+        None,
+        PreviousGrants,
+    }
+
+    fn waterfill(
+        flows: &[&FlowSpec],
+        capacity: &BTreeMap<DirectedLink, u64>,
+        floor_of: impl Fn(&FlowSpec) -> u64,
+    ) -> BTreeMap<u64, u64> {
+        let mut grants: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut residual = capacity.clone();
+        let mut order: Vec<usize> = (0..flows.len()).collect();
+        order.sort_by_key(|&i| flows[i].session);
+
+        // Tier 1: floors.
+        for &i in &order {
+            let flow = flows[i];
+            let floor = floor_of(flow).min(flow.max_bps);
+            grants.insert(flow.session, floor);
+            for hop in &flow.hops {
+                if let Some(r) = residual.get_mut(hop) {
+                    *r = r.saturating_sub(floor);
+                }
+            }
+        }
+
+        // Tier 2: water-fill the headroom above the floors.
+        let mut active: Vec<usize> = Vec::new();
+        let mut weight_sum: BTreeMap<DirectedLink, u64> = BTreeMap::new();
+        for &i in &order {
+            let flow = flows[i];
+            if grants[&flow.session] >= flow.max_bps {
+                continue;
+            }
+            let constrained = flow.hops.iter().any(|h| residual.contains_key(h));
+            if !constrained {
+                grants.insert(flow.session, flow.max_bps);
+                continue;
+            }
+            for hop in &flow.hops {
+                if residual.contains_key(hop) {
+                    *weight_sum.entry(*hop).or_insert(0) += weight_u64(flow);
+                }
+            }
+            active.push(i);
+        }
+
+        while !active.is_empty() {
+            let mut level = u64::MAX;
+            let mut bottleneck: Option<DirectedLink> = None;
+            for (link, w) in &weight_sum {
+                if *w == 0 {
+                    continue;
+                }
+                let l = residual.get(link).copied().unwrap_or(0) / w;
+                if l < level {
+                    level = l;
+                    bottleneck = Some(*link);
+                }
+            }
+            let Some(bottleneck) = bottleneck else { break };
+
+            let mut frozen: Vec<usize> = active
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let f = flows[i];
+                    f.max_bps - grants[&f.session] <= level.saturating_mul(weight_u64(f))
+                })
+                .collect();
+            if frozen.is_empty() {
+                frozen = active
+                    .iter()
+                    .copied()
+                    .filter(|&i| flows[i].hops.contains(&bottleneck))
+                    .collect();
+            }
+            debug_assert!(!frozen.is_empty());
+
+            let frozen_set: BTreeSet<usize> = frozen.iter().copied().collect();
+            for &i in &frozen {
+                let flow = flows[i];
+                let headroom = flow.max_bps - grants[&flow.session];
+                let extra = headroom.min(level.saturating_mul(weight_u64(flow)));
+                *grants.get_mut(&flow.session).expect("granted in tier 1") += extra;
+                for hop in &flow.hops {
+                    if let Some(r) = residual.get_mut(hop) {
+                        *r = r.saturating_sub(extra);
+                    }
+                    if let Some(w) = weight_sum.get_mut(hop) {
+                        *w = w.saturating_sub(weight_u64(flow));
+                    }
+                }
+            }
+            active.retain(|i| !frozen_set.contains(i));
+        }
+
+        grants
+    }
+}
+
+/// Directed links of the churn chain: two per link, both directions.
+const CHURN_LINKS: usize = 4;
+
+/// One generated flow for the churn property. `hops` index the
+/// `2 * CHURN_LINKS` directed links and may repeat; the demand window and
+/// weight are drawn independently, so `min_bps > max_bps` and `weight: 0`
+/// both occur.
+#[derive(Debug, Clone)]
+struct ChurnFlow {
+    session: u64,
+    min_bps: u64,
+    max_bps: u64,
+    weight: u32,
+    hops: Vec<usize>,
+}
+
+/// A broker operation, applied to the library broker and the oracle alike.
+#[derive(Debug, Clone)]
+enum ChurnOp {
+    /// Register the flow (a re-pin if the session is already present).
+    Register(ChurnFlow),
+    /// Re-pin a present session, changing one aspect of its spec:
+    /// 0 nothing, 1 hops, 2 demand window, 3 weight (taken from `with`).
+    Repin {
+        tweak: u8,
+        with: ChurnFlow,
+    },
+    /// Deregister a session, present or absent.
+    Deregister(u64),
+    /// Stage a capacity (possibly on a link no flow has seen capacitated
+    /// yet), then rebalance.
+    SetCapacity {
+        link: usize,
+        capacity_bps: u64,
+    },
+    Rebalance,
+}
+
+/// Quantized rates: coarse steps make equal levels on different links
+/// (and caps equal to a level share) common, so tie-breaks are exercised.
+fn churn_bps(steps: u64) -> impl Strategy<Value = u64> {
+    (0..steps).prop_map(|k| k * 1_000)
+}
+
+/// Quantized capacities with a small jitter: two links whose levels
+/// `floor(residual / Σw)` tie but whose remainders differ give different
+/// grants depending on which one is frozen first.
+fn churn_capacity() -> impl Strategy<Value = u64> {
+    (0u64..80, 0u64..3).prop_map(|(k, jitter)| k * 1_000 + jitter)
+}
+
+fn churn_flow() -> impl Strategy<Value = ChurnFlow> {
+    (
+        0u64..8,
+        churn_bps(30),
+        churn_bps(50),
+        0u32..=4,
+        proptest::collection::vec(0usize..2 * CHURN_LINKS, 0..=6),
+    )
+        .prop_map(|(session, min_bps, max_bps, weight, hops)| ChurnFlow {
+            session,
+            min_bps,
+            max_bps,
+            weight,
+            hops,
+        })
+}
+
+fn churn_op() -> impl Strategy<Value = ChurnOp> {
+    prop_oneof![
+        churn_flow().prop_map(ChurnOp::Register),
+        churn_flow().prop_map(ChurnOp::Register),
+        (0u8..4, churn_flow()).prop_map(|(tweak, with)| ChurnOp::Repin { tweak, with }),
+        (0u64..10).prop_map(ChurnOp::Deregister),
+        (0usize..2 * CHURN_LINKS, churn_capacity())
+            .prop_map(|(link, capacity_bps)| ChurnOp::SetCapacity { link, capacity_bps }),
+        Just(ChurnOp::Rebalance),
+    ]
+}
+
+/// Initial capacities: `None` leaves a directed link unconstrained until
+/// a later `SetCapacity` first stages it.
+fn churn_case() -> impl Strategy<Value = (Vec<Option<u64>>, Vec<ChurnOp>)> {
+    (
+        proptest::collection::vec(proptest::option::of(churn_capacity()), 2 * CHURN_LINKS),
+        proptest::collection::vec(churn_op(), 1..=40),
+    )
+}
+
+/// Drive one operation sequence through the library broker and the
+/// oracle, asserting identical grants, epoch and reallocation count after
+/// every step.
+fn run_churn(policy: SharingPolicy, initial: &[Option<u64>], ops: &[ChurnOp]) {
+    let chain = chain_links(&[0; CHURN_LINKS]);
+    let directed = |k: usize| (chain[k / 2], k.is_multiple_of(2));
+    let spec = |f: &ChurnFlow| FlowSpec {
+        session: f.session,
+        min_bps: f.min_bps,
+        max_bps: f.max_bps,
+        weight: f.weight,
+        hops: f.hops.iter().map(|&k| directed(k)).collect(),
+    };
+    let mut broker = BandwidthBroker::new(policy);
+    let mut oracle = reference::ReferenceBroker::new(policy);
+    for (k, capacity) in initial.iter().enumerate() {
+        if let Some(capacity) = *capacity {
+            let (link, forward) = directed(k);
+            broker.set_capacity(link, forward, capacity);
+            oracle.set_capacity(link, forward, capacity);
+        }
+    }
+    for (step, op) in ops.iter().enumerate() {
+        match op {
+            ChurnOp::Register(f) => {
+                broker.register(spec(f));
+                oracle.register(spec(f));
+            }
+            ChurnOp::Repin { tweak, with } => {
+                let Some(current) = oracle.flow(with.session).cloned() else {
+                    continue;
+                };
+                let fresh = spec(with);
+                let repinned = match tweak {
+                    0 => current,
+                    1 => FlowSpec {
+                        hops: fresh.hops,
+                        ..current
+                    },
+                    2 => FlowSpec {
+                        min_bps: fresh.min_bps,
+                        max_bps: fresh.max_bps,
+                        ..current
+                    },
+                    _ => FlowSpec {
+                        weight: fresh.weight,
+                        ..current
+                    },
+                };
+                broker.register(repinned.clone());
+                oracle.register(repinned);
+            }
+            ChurnOp::Deregister(session) => {
+                assert_eq!(
+                    broker.deregister(*session),
+                    oracle.deregister(*session),
+                    "step {step}: deregister({session}) disagrees"
+                );
+            }
+            ChurnOp::SetCapacity { link, capacity_bps } => {
+                let (id, forward) = directed(*link);
+                broker.set_capacity(id, forward, *capacity_bps);
+                oracle.set_capacity(id, forward, *capacity_bps);
+                broker.rebalance();
+                oracle.rebalance();
+            }
+            ChurnOp::Rebalance => {
+                broker.rebalance();
+                oracle.rebalance();
+            }
+        }
+        let expected: Vec<(u64, u64)> = oracle.grants().iter().map(|(&s, &g)| (s, g)).collect();
+        assert_eq!(
+            broker.grants().collect::<Vec<_>>(),
+            expected,
+            "{policy:?} step {step} ({op:?}): grants diverge from the oracle"
+        );
+        assert_eq!(
+            broker.epoch(),
+            oracle.epoch(),
+            "{policy:?} step {step}: epoch"
+        );
+        assert_eq!(
+            broker.reallocations(),
+            oracle.reallocations(),
+            "{policy:?} step {step}: reallocations"
+        );
+        assert_eq!(broker.flow_count(), expected.len());
+        for &(session, _) in &expected {
+            assert_eq!(broker.flow(session), oracle.flow(session));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// (e) Under random churn — arrivals, re-pins of hops, window and
+    /// weight, present and absent departures, capacity changes including
+    /// links first capacitated after flows exist — the dense broker
+    /// publishes exactly the oracle's grants, epoch and reallocation
+    /// count after every operation, under both policies.
+    #[test]
+    fn churn_matches_the_reference_broker((initial, ops) in churn_case()) {
+        run_churn(SharingPolicy::WeightedMaxMin, &initial, &ops);
+        run_churn(SharingPolicy::Fcfs, &initial, &ops);
     }
 }
 
